@@ -18,17 +18,11 @@ import (
 	"repro/internal/routing"
 )
 
-// The ladder instance. It does not depend on --seed: at load 0.2 most
-// rand50 seeds are infeasible (min MLU >= 1, so SPEF, PEFT and Optimal
-// fail by design), and the solver time of the feasible ones varies by
-// a factor of two, which would swamp any bound.
 const (
-	ladderInstance = "rand:n=50,links=242,seed=1"
-	ladderLoad     = 0.2
-	toyInstance    = "abilene"
 	// spefUtilityTol bounds |U_spef - U_opt| / |U_opt|: the paper's
-	// claim that SPEF reaches the optimal traffic distribution. On the
-	// ladder instance the gap is 0.37% (-205.006 against -204.242).
+	// claim that SPEF reaches the optimal traffic distribution. On
+	// rand50-abilene-zoo the gap is 0.37% (-205.006 against -204.242), on
+	// hier50-cernet2 0.19% (-110.970 against -110.756).
 	spefUtilityTol = 1e-2
 	// mluTol is the loose relative tolerance against recorded MLUs:
 	// wide enough for a legitimate solver change, tight enough to catch
@@ -59,69 +53,72 @@ func ladderRungs() []rung {
 
 type ladderInputs struct {
 	instance string
+	load     float64
 	net      *spef.Network
 	dem      *spef.Demands
 	rungs    []rung
 	invcap   spef.Router
 	metrics  []spef.Metric
 	minMLU   float64
-	ref      map[string]float64 // recorded MLU per rung; nil at toy size
+	ref      *ladderRef // recorded MLUs; nil at toy size
 }
 
+// newLadderInputs reads the workload's recorded ladder outputs.
 func newLadderInputs(c config) (*ladderInputs, error) {
+	in := &ladderInputs{instance: c.instance, load: c.load}
 	if c.toy {
-		in, err := resolveLadder(toyInstance)
-		if err != nil {
-			return nil, err
-		}
-		g, tm, err := layerInputs(in.net, in.dem)
-		if err != nil {
-			return nil, err
-		}
-		res, err := mcf.MinMLU(g, tm)
-		if err != nil {
-			return nil, err
-		}
-		in.minMLU = res.MLU
 		return in, nil
 	}
-	in, err := resolveLadder(ladderInstance)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := loadLadderRef()
-	if err != nil {
-		return nil, err
-	}
-	if ref.Instance != in.instance || ref.Load != ladderLoad || len(ref.MLU) != len(in.rungs) {
-		return nil, errors.New("ref/ladder.json does not describe this ladder; rerun with -record")
-	}
-	in.minMLU, in.ref = ref.MinMLU, ref.MLU
-	return in, nil
+	var err error
+	in.ref, err = loadLadderRef(c.name)
+	return in, err
 }
 
-// resolveLadder resolves the instance at the ladder load and every
-// rung's router.
-func resolveLadder(instance string) (*ladderInputs, error) {
-	in := &ladderInputs{instance: instance, rungs: ladderRungs(), metrics: spef.DefaultMetrics()}
-	t, err := spef.ResolveTopology(instance)
+// resolve resolves the instance at the ladder load and every rung's
+// router, as a suite run does before its first cell.
+func (in *ladderInputs) resolve(c config) error {
+	in.rungs, in.metrics = ladderRungs(), spef.DefaultMetrics()
+	t, err := spef.ResolveTopology(in.instance)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := range in.rungs {
 		if in.rungs[i].router, err = spef.ResolveRouter(in.rungs[i].spec, 0); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if in.invcap, err = spef.ResolveRouter("invcap", 0); err != nil {
-		return nil, err
+		return err
 	}
-	cells, err := spef.Grid{Topologies: []spef.Topology{t}, Loads: []float64{ladderLoad}, Routers: []spef.Router{in.invcap}}.Scenarios()
+	cells, err := spef.Grid{Topologies: []spef.Topology{t}, Loads: []float64{in.load}, Routers: []spef.Router{in.invcap}}.Scenarios()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	in.net, in.dem = cells[0].Network, cells[0].Demands
-	return in, nil
+	return nil
+}
+
+// matchRef checks that the recorded outputs describe this ladder and
+// takes the min-MLU bound from them. At toy size the bound is the
+// exact edge LP's.
+func (in *ladderInputs) matchRef(c config) error {
+	if c.toy {
+		g, tm, err := layerInputs(in.net, in.dem)
+		if err != nil {
+			return err
+		}
+		res, err := mcf.MinMLU(g, tm)
+		if err != nil {
+			return err
+		}
+		in.minMLU = res.MLU
+		return nil
+	}
+	if in.ref.Instance != in.instance || in.ref.Load != in.load || len(in.ref.MLU) != len(in.rungs) {
+		return fmt.Errorf("%s does not describe this ladder; rerun with -record", ladderRefPath(c.name))
+	}
+	in.minMLU = in.ref.MinMLU
+	return nil
 }
 
 // cellOut is one cold cell: routes, evaluation and metrics.
@@ -185,7 +182,7 @@ func (in *ladderInputs) verify(rungName string, out *cellOut) error {
 	if mlu < in.minMLU-1e-6 {
 		return fmt.Errorf("ladder %s: MLU %.9g is below the min-MLU bound %.9g", rungName, mlu, in.minMLU)
 	}
-	if want, ok := in.ref[rungName]; ok && !within(mlu, want, mluTol) {
+	if want, ok := in.ref.mlu(rungName); ok && !within(mlu, want, mluTol) {
 		return fmt.Errorf("ladder %s: MLU %.9g, recorded %.9g", rungName, mlu, want)
 	}
 	return nil
@@ -201,33 +198,6 @@ func verifyPass(outs map[string]*cellOut) error {
 	if !within(s.report.Utility, o.report.Utility, spefUtilityTol) {
 		return fmt.Errorf("ladder: SPEF utility %.9g is not within %g of Optimal's %.9g",
 			s.report.Utility, spefUtilityTol, o.report.Utility)
-	}
-	return nil
-}
-
-func ladderWorkload(ctx context.Context, r *run, env *environment) error {
-	in := env.ladder
-	if r.tr != nil {
-		return ladderTraced(ctx, r, in)
-	}
-	times := map[string][]float64{}
-	for pass := 0; pass < r.cfg.ladderPasses; pass++ {
-		outs := map[string]*cellOut{}
-		for _, rg := range in.rungs {
-			for rep := 0; rep < rg.reps; rep++ {
-				runtime.GC()
-				out := runCell(ctx, nil, rg.name, rg.router, in)
-				r.check(in.verify(rg.name, out))
-				r.stolen += out.stolen
-				times[rg.name] = append(times[rg.name], out.elapsed.Seconds())
-				outs[rg.name] = out
-				r.heapCheckpoint()
-			}
-		}
-		r.check(verifyPass(outs))
-	}
-	for _, rg := range in.rungs {
-		r.set("cell_s."+rg.name, median(times[rg.name]), "s")
 	}
 	return nil
 }

@@ -4,12 +4,11 @@
 // traced run — the public functions of each layer package, checks every
 // output, and prints one JSON result line:
 //
-//	go run . --workload ladder-rand50 --seed 1 --seconds 30 --trace 0
+//	go run . --workload rand50-abilene-zoo --seed 1 --seconds 55 --trace 0
 //
 // Every run reports every metric of its trace mode (BENCHMARK.json
-// lists them); the workload decides which phase gets the bulk of the
-// measuring time. See README.md for the workloads, the metrics and the
-// layer each one belongs to.
+// lists them); the workload decides the inputs. See README.md for the
+// workloads, the metrics and the layer each one belongs to.
 package main
 
 import (
@@ -17,9 +16,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -47,14 +49,7 @@ type run struct {
 	// stolen totals the hypervisor steal taken out of the ladder cells
 	// and sweep campaigns.
 	stolen time.Duration
-	// heapPeak is the largest live heap seen at a checkpoint.
-	heapPeak uint64
 }
-
-// heapCheckpoint records the live heap after a full collection. Each
-// phase calls it at the end of every step, with that step's results
-// still held, so heap_peak_mb is the largest state the run retains.
-func (r *run) heapCheckpoint() { r.heapPeak = max(r.heapPeak, liveHeap()) }
 
 // set records a metric. A value that is not finite cannot be printed
 // as JSON; it records 0 and fails the run.
@@ -77,41 +72,54 @@ func (r *run) check(err error) {
 	}
 }
 
-// config is one invocation's workload plan.
+// config is one invocation's plan.
 type config struct {
-	workload string
-	seed     int64
-	seconds  float64
-	toy      bool
+	name string
+	workload
+	seed    int64
+	seconds float64
+	toy     bool
 
 	// ladderPasses is the number of cold passes over the rungs.
 	ladderPasses int
-	// sweepMin is the least number of sweep campaigns. With sweepFill
-	// the sweep, which runs last, repeats until the run has lasted
-	// --seconds.
-	sweepMin  int
-	sweepFill bool
+	// sweepMin is the least number of sweep campaigns; beyond it the
+	// campaigns fill the run to --seconds.
+	sweepMin int
 	// serveOps is the length of the closed-loop serve stream, in client
 	// operations (one event post or one what-if). It is a count, not a
 	// time budget, so every run of a workload replays the same stream.
 	serveOps int
 }
 
-// workloads maps each workload to its plan. Every run reports every
-// end-to-end metric, so every workload runs all three phases; the plan
-// decides where the bulk of the run goes.
-var workloads = map[string]func(c *config){
-	// Many small optimizations and thousands of cheap re-simulations:
-	// the sweep repeats until the run has lasted --seconds.
-	"sweep-backbone": func(c *config) {
-		c.ladderPasses, c.sweepMin, c.sweepFill, c.serveOps = 2, 2, true, 8000
-	},
-	// Mostly the delta engine behind the HTTP daemon, where no solver
-	// runs.
-	"serve-rand50": func(c *config) {
-		c.ladderPasses, c.sweepMin, c.serveOps = 2, 1, 16000
-	},
+// workload is one set of inputs. Every run reports every end-to-end
+// metric, so every workload runs all three phases on its own inputs.
+type workload struct {
+	// instance is the topology of the ladder cells and the daemon.
+	instance string
+	// load is the ladder's network load, one at which the instance is
+	// feasible (min MLU below 1), so SPEF, PEFT and Optimal all route.
+	load float64
+	// campaign lists the sweep's topologies.
+	campaign []string
 }
+
+const zooFixture = "zoo:file=../internal/topoio/testdata/testnet.graphml"
+
+// workloads are the paper's two synthetic network classes, each paired
+// with a campaign over measured networks: abilene, cernet2 and the
+// committed Topology Zoo fixture, split so that both campaigns carry
+// real optimizations. The instances and campaigns do not depend on
+// --seed (README.md says why); the seed drives the serve stream.
+var workloads = map[string]workload{
+	// The paper's Random class (unit capacities).
+	"rand50-abilene-zoo": {instance: "rand:n=50,links=242,seed=1", load: 0.2, campaign: []string{"abilene", zooFixture}},
+	// The paper's Hierarchical class (GT-ITM style, capacity-1 local
+	// and capacity-5 long-distance links).
+	"hier50-cernet2": {instance: "hier:n=50,clusters=5,links=222,seed=2", load: 0.1, campaign: []string{"cernet2"}},
+}
+
+// workloadNames lists the workloads for usage messages.
+func workloadNames() string { return strings.Join(slices.Sorted(maps.Keys(workloads)), ", ") }
 
 func main() {
 	if err := mainErr(); err != nil {
@@ -123,19 +131,20 @@ func main() {
 func mainErr() error {
 	var c config
 	var trace int
-	flag.StringVar(&c.workload, "workload", "", "workload name (sweep-backbone, serve-rand50)")
+	flag.StringVar(&c.name, "workload", "", "workload name ("+workloadNames()+")")
 	flag.Int64Var(&c.seed, "seed", 1, "input seed")
 	flag.Float64Var(&c.seconds, "seconds", 45, "measuring time of the run")
 	flag.IntVar(&trace, "trace", 0, "1 runs the traced pass and reports per-layer metrics")
 	flag.BoolVar(&c.toy, "toy", false, "run at toy size (self-test)")
 	record := flag.Bool("record", false, "rewrite the reference files under ref/ instead of benchmarking")
 	flag.Parse()
-	if *record {
-		return recordReferences(context.Background())
-	}
-	plan, ok := workloads[c.workload]
+	w, ok := workloads[c.name]
 	if !ok {
-		return fmt.Errorf("unknown workload %q", c.workload)
+		return fmt.Errorf("unknown workload %q (have %s)", c.name, workloadNames())
+	}
+	c.workload = w
+	if *record {
+		return recordReferences(context.Background(), c)
 	}
 	if trace != 0 && trace != 1 {
 		return fmt.Errorf("--trace must be 0 or 1, got %d", trace)
@@ -143,14 +152,15 @@ func mainErr() error {
 	if c.seed < 0 {
 		return fmt.Errorf("--seed must be non-negative, got %d", c.seed)
 	}
-	plan(&c)
+	c.ladderPasses, c.sweepMin, c.serveOps = 2, 4, 12000
 	if trace == 1 {
-		// The traced run is one pass of everything, the same for every
-		// workload: 2000 serve operations leave ten what-ifs beyond p99.
-		c.ladderPasses, c.sweepMin, c.sweepFill, c.serveOps = 1, 1, false, 2000
+		// The traced run is one pass of everything: 2000 serve
+		// operations leave ten what-ifs beyond p99.
+		c.serveOps = 2000
 	}
 	if c.toy {
-		c.ladderPasses, c.sweepMin, c.sweepFill, c.serveOps = 1, 1, false, 48
+		c.ladderPasses, c.sweepMin, c.serveOps = 1, 1, 48
+		c.instance, c.campaign = "abilene", []string{"abilene"}
 	}
 	r := &run{cfg: c, metrics: map[string]metric{}}
 	if trace == 1 {
@@ -161,13 +171,13 @@ func mainErr() error {
 		gogc = "default"
 	}
 	fmt.Printf("# e2ebench workload=%s seed=%d seconds=%g trace=%d GOMAXPROCS=%d GOGC=%s %s\n",
-		c.workload, c.seed, c.seconds, trace, runtime.GOMAXPROCS(0), gogc, runtime.Version())
+		c.name, c.seed, c.seconds, trace, runtime.GOMAXPROCS(0), gogc, runtime.Version())
 
 	if err := execute(context.Background(), r); err != nil {
 		return err
 	}
 	if r.tr != nil {
-		if err := r.tr.write(fmt.Sprintf("%s-seed%d", c.workload, c.seed)); err != nil {
+		if err := r.tr.write(fmt.Sprintf("%s-seed%d", c.name, c.seed)); err != nil {
 			return err
 		}
 	}
@@ -188,64 +198,48 @@ func mainErr() error {
 	return nil
 }
 
-// execute runs set-up and the three phases in a fixed order.
+// execute prepares the run, then measures the untraced plan or runs
+// the traced one.
 func execute(ctx context.Context, r *run) error {
 	start := time.Now()
-	env, setup, err := setUp(r.cfg)
+	env, err := newEnvironment(r.cfg)
 	if err != nil {
 		return err
 	}
 	defer env.close()
 	if r.tr == nil {
-		r.set("setup_s", setup, "s")
+		heap := watchHeap()
+		if err := measure(ctx, r, env, start); err != nil {
+			return err
+		}
+		r.set("heap_peak_mb", float64(heap.stop())/(1<<20), "MB")
+		return nil
 	}
-	r.heapCheckpoint()
-	if err := serveWorkload(ctx, r, env); err != nil {
+	if _, err := env.setUp(r.cfg); err != nil {
 		return err
 	}
-	if err := ladderWorkload(ctx, r, env); err != nil {
+	if err := env.matchRef(r.cfg); err != nil {
 		return err
 	}
-	if err := sweepWorkload(ctx, r, env, start); err != nil {
+	if err := serveTraced(ctx, r, env.serve); err != nil {
 		return err
 	}
-	if r.tr == nil {
-		r.set("heap_peak_mb", float64(r.heapPeak)/(1<<20), "MB")
+	if err := ladderTraced(ctx, r, env.ladder); err != nil {
+		return err
 	}
-	return nil
+	return sweepTraced(ctx, r, env.sweep)
 }
 
-// setUpRepeats is how often set-up is repeated to report its median.
-const setUpRepeats = 5
-
-// setUp builds every phase's inputs setUpRepeats times and keeps the
-// last, returning the median set-up time in seconds.
-func setUp(c config) (*environment, float64, error) {
-	var env *environment
-	times := make([]float64, 0, setUpRepeats)
-	for i := 0; i < setUpRepeats; i++ {
-		if env != nil {
-			env.close()
-		}
-		runtime.GC()
-		start := time.Now()
-		var err error
-		env, err = newEnvironment(c)
-		if err != nil {
-			return nil, 0, err
-		}
-		times = append(times, time.Since(start).Seconds())
-	}
-	return env, median(times), nil
-}
-
-// environment holds the resolved inputs of every phase.
+// environment holds the inputs of every phase.
 type environment struct {
 	ladder *ladderInputs
 	sweep  *sweepInputs
 	serve  *serveInputs
 }
 
+// newEnvironment does the benchmark's own, untimed preparation: it
+// reads the recorded references and builds what the serve client needs
+// to generate its stream.
 func newEnvironment(c config) (*environment, error) {
 	ladder, err := newLadderInputs(c)
 	if err != nil {
@@ -260,6 +254,39 @@ func newEnvironment(c config) (*environment, error) {
 		return nil, fmt.Errorf("serve set-up: %w", err)
 	}
 	return &environment{ladder: ladder, sweep: sweep, serve: serve}, nil
+}
+
+// setUp runs and times the program's set-up: resolving the ladder
+// instance, its routers and its grid cell, expanding the campaign's
+// scenarios and run options, and loading the daemon.
+func (e *environment) setUp(c config) (time.Duration, error) {
+	start := time.Now()
+	err := e.ladder.resolve(c)
+	if err == nil {
+		err = e.sweep.resolve(c)
+	}
+	if err == nil {
+		err = e.serve.load()
+	}
+	return time.Since(start), err
+}
+
+// blank returns unresolved inputs of the same workload, for a set-up
+// that is timed and thrown away.
+func (e *environment) blank() *environment {
+	return &environment{
+		ladder: &ladderInputs{instance: e.ladder.instance, load: e.ladder.load},
+		sweep:  &sweepInputs{},
+		serve:  &serveInputs{spec: e.serve.spec},
+	}
+}
+
+// matchRef checks the recorded references against the resolved inputs.
+func (e *environment) matchRef(c config) error {
+	if err := e.ladder.matchRef(c); err != nil {
+		return err
+	}
+	return e.sweep.matchRef()
 }
 
 func (e *environment) close() { e.serve.close() }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -68,14 +69,49 @@ func (w stopwatch) stop() (net, stolen time.Duration) {
 	return wall - stolen, stolen
 }
 
-// liveHeap forces a full collection and returns the live heap in
-// bytes: what the process holds at that point, independent of where
-// the collector's cycles happened to fall.
-func liveHeap() uint64 {
+// heapWatch keeps the largest live heap that any collection marked
+// while it ran, solver working sets inside a cell included. A
+// finalizer on a sentinel object runs after every GC cycle, reads
+// /gc/heap/live:bytes and arms a new sentinel for the next cycle.
+type heapWatch struct {
+	peak atomic.Uint64
+	done atomic.Bool
+}
+
+// gcSentinel is large enough to stay out of the tiny allocator, whose
+// shared blocks would delay its finalizer.
+type gcSentinel struct{ _ [64]byte }
+
+func watchHeap() *heapWatch {
+	h := &heapWatch{}
+	h.arm()
+	return h
+}
+
+func (h *heapWatch) arm() {
+	runtime.SetFinalizer(new(gcSentinel), func(*gcSentinel) {
+		if !h.done.Load() {
+			h.sample()
+			h.arm()
+		}
+	})
+}
+
+func (h *heapWatch) sample() {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	v := s[0].Value.Uint64()
+	for old := h.peak.Load(); v > old && !h.peak.CompareAndSwap(old, v); old = h.peak.Load() {
+	}
+}
+
+// stop collects once more, so the state held at the end counts too,
+// ends the watch and returns the peak in bytes.
+func (h *heapWatch) stop() uint64 {
 	runtime.GC()
-	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
-	metrics.Read(sample)
-	return sample[0].Value.Uint64()
+	h.sample()
+	h.done.Store(true)
+	return h.peak.Load()
 }
 
 // memDelta measures the GC cycles and allocated bytes of f.

@@ -17,10 +17,15 @@ import (
 	"repro/internal/traffic"
 )
 
-// The reference files under ref/ hold the outputs recorded on the
-// commit that introduced the benchmark; runs compare against them
-// within mluTol. `go run . -record` rewrites them.
+// The reference files under ref/<workload>/ hold the outputs recorded
+// on the commit that introduced the benchmark; runs compare against
+// them within mluTol. `go run . -record --workload <name>` rewrites a
+// workload's files.
 const refDir = "ref"
+
+func ladderRefPath(workload string) string { return filepath.Join(refDir, workload, "ladder.json") }
+
+func sweepRefPath(workload string) string { return filepath.Join(refDir, workload, "sweep.txt.gz") }
 
 // ladderRef records the ladder instance's min-MLU bound and each rung's
 // MLU.
@@ -31,14 +36,24 @@ type ladderRef struct {
 	MLU      map[string]float64 `json:"mlu"`
 }
 
-func loadLadderRef() (*ladderRef, error) {
-	b, err := os.ReadFile(filepath.Join(refDir, "ladder.json"))
+// mlu returns a rung's recorded MLU; false without a reference.
+func (r *ladderRef) mlu(rung string) (float64, bool) {
+	if r == nil {
+		return 0, false
+	}
+	v, ok := r.MLU[rung]
+	return v, ok
+}
+
+func loadLadderRef(workload string) (*ladderRef, error) {
+	path := ladderRefPath(workload)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var ref ladderRef
 	if err := json.Unmarshal(b, &ref); err != nil {
-		return nil, fmt.Errorf("ref/ladder.json: %w", err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &ref, nil
 }
@@ -49,12 +64,11 @@ type refCell struct {
 	mlu    float64
 }
 
-const sweepRefFile = "sweep.txt.gz"
-
 // loadSweepRef reads one line per cell, in cell order: "err" or the
 // MLU.
-func loadSweepRef() ([]refCell, error) {
-	f, err := os.Open(filepath.Join(refDir, sweepRefFile))
+func loadSweepRef(workload string) ([]refCell, error) {
+	path := sweepRefPath(workload)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -72,33 +86,38 @@ func loadSweepRef() ([]refCell, error) {
 		}
 		v, err := strconv.ParseFloat(sc.Text(), 64)
 		if err != nil {
-			return nil, fmt.Errorf("ref/%s line %d: %w", sweepRefFile, len(cells)+1, err)
+			return nil, fmt.Errorf("%s line %d: %w", path, len(cells)+1, err)
 		}
 		cells = append(cells, refCell{mlu: v})
 	}
 	return cells, sc.Err()
 }
 
-// recordReferences reruns the ladder and the sweep variants and
-// rewrites ref/.
-func recordReferences(ctx context.Context) error {
-	if err := os.MkdirAll(refDir, 0o755); err != nil {
+// recordReferences reruns the workload's ladder and campaign and
+// rewrites its reference files.
+func recordReferences(ctx context.Context, c config) error {
+	if err := os.MkdirAll(filepath.Dir(ladderRefPath(c.name)), 0o755); err != nil {
 		return err
 	}
-	ref := ladderRef{Instance: ladderInstance, Load: ladderLoad, MLU: map[string]float64{}}
-	in, err := resolveLadder(ladderInstance)
-	if err != nil {
+	ref := ladderRef{Instance: c.instance, Load: c.load, MLU: map[string]float64{}}
+	in := &ladderInputs{instance: c.instance, load: c.load}
+	if err := in.resolve(c); err != nil {
 		return err
 	}
 	var flows [][]float64
+	var outs = map[string]*cellOut{}
 	for _, rg := range in.rungs {
 		out := runCell(ctx, nil, rg.name, rg.router, in)
 		if err := in.verify(rg.name, out); err != nil {
 			return err
 		}
+		outs[rg.name] = out
 		flows = append(flows, out.report.LinkFlow)
 		ref.MLU[rg.name] = out.report.MLU
-		fmt.Fprintf(os.Stderr, "record: ladder %s MLU %.9g\n", rg.name, out.report.MLU)
+		fmt.Fprintf(os.Stderr, "record: ladder %s MLU %.9g utility %.9g\n", rg.name, out.report.MLU, out.report.Utility)
+	}
+	if err := verifyPass(outs); err != nil {
+		return err
 	}
 	g, tm, err := layerInputs(in.net, in.dem)
 	if err != nil {
@@ -108,20 +127,21 @@ func recordReferences(ctx context.Context) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "record: min-MLU lower bound %.9g\n", ref.MinMLU)
+	for name, mlu := range ref.MLU {
+		if mlu < ref.MinMLU-1e-6 {
+			return fmt.Errorf("record: %s MLU %.9g is below the bound %.9g", name, mlu, ref.MinMLU)
+		}
+	}
 	b, err := json.MarshalIndent(ref, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(refDir, "ladder.json"), append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(ladderRefPath(c.name), append(b, '\n'), 0o644); err != nil {
 		return err
 	}
 
 	sweep := &sweepInputs{}
-	suite := sweepSuite(false)
-	if sweep.cells, err = suite.Scenarios(); err != nil {
-		return err
-	}
-	if sweep.opts, err = suite.RunOptions(); err != nil {
+	if err := sweep.resolve(c); err != nil {
 		return err
 	}
 	results, _, _, err := campaign(ctx, sweep, nil)
@@ -129,11 +149,11 @@ func recordReferences(ctx context.Context) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "record: sweep, %d cells\n", len(results))
-	return writeSweepRef(results)
+	return writeSweepRef(sweepRefPath(c.name), results)
 }
 
-func writeSweepRef(results []spef.ScenarioResult) error {
-	f, err := os.Create(filepath.Join(refDir, sweepRefFile))
+func writeSweepRef(path string, results []spef.ScenarioResult) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the benchmark from source and runs it from its own directory:
 #
-#   bash e2ebench/run.sh --workload ladder-rand50 --seed 1 --seconds 30 --trace 0
+#   bash e2ebench/run.sh --workload rand50-abilene-zoo --seed 1 --seconds 45 --trace 0
 #
 # Build outputs (the binary and a private Go build cache) go under
 # .bench_build at the root of the checkout.

@@ -13,8 +13,6 @@ import (
 	"repro/internal/objective"
 )
 
-const zooFixture = "zoo:file=../internal/topoio/testdata/testnet.graphml"
-
 type sweepInputs struct {
 	cells   []spef.Scenario
 	opts    spef.RunOptions
@@ -22,13 +20,14 @@ type sweepInputs struct {
 	ref     []refCell // recorded cells; nil at toy size
 }
 
-// sweepSuite is the backbone campaign: single-link failures x a diurnal
-// day x two loads x four routers, weight reuse on, one worker per CPU.
-// It does not depend on --seed: across gravity seeds the campaign's
-// throughput varies by 18%, more than the bound it is held to.
-func sweepSuite(toy bool) spef.Suite {
+// sweepSuite is the workload's campaign: single-link failures x a
+// diurnal day x two loads x four routers, weight reuse on, one worker
+// per CPU. It does not depend on --seed: across gravity seeds the
+// campaign's throughput varied by 18%, more than the bound it is held
+// to.
+func sweepSuite(c config) spef.Suite {
 	s := spef.Suite{
-		Topologies:   []string{"abilene", "cernet2", zooFixture},
+		Topologies:   c.campaign,
 		Demands:      "gravity-diurnal:steps=24",
 		Loads:        []float64{0.1, 0.2},
 		Failures:     "single",
@@ -36,36 +35,44 @@ func sweepSuite(toy bool) spef.Suite {
 		Workers:      runtime.NumCPU(),
 		ReuseWeights: true,
 	}
-	if toy {
-		s.Topologies = []string{"abilene"}
+	if c.toy {
 		s.Demands = "gravity-diurnal:steps=2"
 		s.Loads = []float64{0.1}
 	}
 	return s
 }
 
+// newSweepInputs reads the workload's recorded campaign.
 func newSweepInputs(c config) (*sweepInputs, error) {
 	in := &sweepInputs{}
-	suite := sweepSuite(c.toy)
-	in.workers = suite.Workers
-	var err error
-	if in.cells, err = suite.Scenarios(); err != nil {
-		return nil, err
-	}
-	if in.opts, err = suite.RunOptions(); err != nil {
-		return nil, err
-	}
 	if c.toy {
 		return in, nil
 	}
-	if in.ref, err = loadSweepRef(); err != nil {
-		return nil, err
+	var err error
+	in.ref, err = loadSweepRef(c.name)
+	return in, err
+}
+
+// resolve expands the campaign into its cells and run options, as
+// `spef suite` does before its first cell.
+func (in *sweepInputs) resolve(c config) error {
+	suite := sweepSuite(c)
+	in.workers = suite.Workers
+	var err error
+	if in.cells, err = suite.Scenarios(); err != nil {
+		return err
 	}
-	if len(in.ref) != len(in.cells) {
-		return nil, fmt.Errorf("ref/%s holds %d cells, the campaign has %d; rerun with -record",
-			sweepRefFile, len(in.ref), len(in.cells))
+	in.opts, err = suite.RunOptions()
+	return err
+}
+
+// matchRef checks that the recorded campaign has one cell per cell.
+func (in *sweepInputs) matchRef() error {
+	if in.ref != nil && len(in.ref) != len(in.cells) {
+		return fmt.Errorf("the recorded campaign holds %d cells, this one has %d; rerun with -record",
+			len(in.ref), len(in.cells))
 	}
-	return in, nil
+	return nil
 }
 
 // campaign streams every cell through a JSONL sink and returns the
@@ -116,31 +123,20 @@ func (in *sweepInputs) verifyCell(res spef.ScenarioResult) error {
 	return nil
 }
 
-// sweepWorkload runs sweepMin campaigns, and with sweepFill more until
-// the run that began at start has lasted --seconds.
-func sweepWorkload(ctx context.Context, r *run, env *environment, start time.Time) error {
-	in := env.sweep
-	if r.tr != nil {
-		return sweepTraced(ctx, r, in)
+// timedCampaign runs one campaign after a full collection, gates
+// every cell, and returns its throughput in cells per second and its
+// wall time net of steal.
+func timedCampaign(ctx context.Context, r *run, in *sweepInputs) (float64, time.Duration, error) {
+	runtime.GC()
+	results, wall, stolen, err := campaign(ctx, in, nil)
+	if err != nil {
+		return 0, 0, fmt.Errorf("sweep sink: %w", err)
 	}
-	var rates []float64
-	budget := time.Duration(r.cfg.seconds * float64(time.Second))
-	for i := 0; i < r.cfg.sweepMin || (r.cfg.sweepFill && time.Since(start) < budget); i++ {
-		runtime.GC()
-		results, wall, stolen, err := campaign(ctx, in, nil)
-		if err != nil {
-			return fmt.Errorf("sweep sink: %w", err)
-		}
-		r.stolen += stolen
-		for _, res := range results {
-			r.check(in.verifyCell(res))
-		}
-		r.heapCheckpoint()
-		runtime.KeepAlive(results)
-		rates = append(rates, float64(len(results))/wall.Seconds())
+	r.stolen += stolen
+	for _, res := range results {
+		r.check(in.verifyCell(res))
 	}
-	r.set("sweep_cells_per_s", median(rates), "1/s")
-	return nil
+	return float64(len(results)) / wall.Seconds(), wall, nil
 }
 
 // sweepTraced runs the campaign once, then replays it sequentially
