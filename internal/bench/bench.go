@@ -18,6 +18,8 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"time"
 
 	spef "repro"
@@ -42,7 +44,9 @@ type Options struct {
 	Log io.Writer
 }
 
-// Measure is one timed configuration.
+// Measure is one timed configuration: the median per-round time of
+// N timed calls, and the allocations per call of a separate GC-quiet
+// pass.
 type Measure struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -61,9 +65,14 @@ type Kernel struct {
 	FastLabel string  `json:"fast_label"`
 	Base      Measure `json:"base"`
 	Fast      Measure `json:"fast"`
-	// Speedup is Base.NsPerOp / Fast.NsPerOp — machine-normalized, so
-	// baselines recorded on one machine check meaningfully on another.
+	// Speedup is the median over interleaved timing rounds of the
+	// per-round Base/Fast time ratio — machine-normalized, so baselines
+	// recorded on one machine check meaningfully on another.
 	Speedup float64 `json:"speedup"`
+	// SpeedupMin and SpeedupMax bound the per-round ratios: the noise
+	// band the median was taken from.
+	SpeedupMin float64 `json:"speedup_min,omitempty"`
+	SpeedupMax float64 `json:"speedup_max,omitempty"`
 	// Portable marks kernels whose speedup and allocs/op are
 	// machine-portable (both paths single-threaded, so machine speed
 	// and core count cancel in the ratio). Kernels whose fast path
@@ -101,33 +110,116 @@ type Report struct {
 	Sweep []SweepThroughput `json:"sweep,omitempty"`
 }
 
-// measure times fn over roughly the given wall-clock budget: one
-// warm-up call (so workspace arenas reach steady state), then doubling
-// batches until the budget is consumed, with allocation counters read
-// around the whole measured region.
-func measure(budget time.Duration, fn func()) Measure {
-	fn() // warm-up: size arenas, fault in code paths
+// Timing and allocation-counting parameters of compare.
+const (
+	// minRounds and maxRounds bound the number of interleaved base/fast
+	// timing rounds per kernel. Both odd, and the count is kept odd, so
+	// the median is one measured round.
+	minRounds = 9
+	maxRounds = 33
+)
+
+// compare measures one slow-path/fast-path pair. Both run once to warm
+// up (arenas sized, code paths faulted in). Timing then runs many short
+// rounds of a fixed batch of each path, alternating which goes first,
+// so drift in machine speed hits both sides alike; the speedup is the
+// median of the per-round ratios — a round hit by an interruption is
+// an outlier the median ignores — with their range recorded as the
+// noise band. Allocations are counted last, in a separate quiet pass
+// (countAllocs) per side taking about a quarter of the budget: by then
+// the timing rounds have driven every buffer to its steady-state size,
+// and a rare buffer growth is spread over many calls.
+func compare(name, baseLabel, fastLabel string, portable bool, budget time.Duration, base, fast func()) Kernel {
+	base()
+	fast()
+	k := Kernel{Name: name, BaseLabel: baseLabel, FastLabel: fastLabel, Portable: portable}
+
+	// Fit as many rounds as the budget allows (within the bounds), and
+	// give each side an equal share of every round, so a hiccup of a
+	// given length weighs the same on either side.
+	tb, tf := perOp(base), perOp(fast)
+	rounds := int(min(max(budget/(tb+tf), minRounds), maxRounds)) | 1
+	share := budget / time.Duration(2*rounds)
+	nb := int(min(max(share/tb, 1), 1<<20))
+	nf := int(min(max(share/tf, 1), 1<<20))
+	baseNs := make([]float64, rounds)
+	fastNs := make([]float64, rounds)
+	ratios := make([]float64, rounds)
+	for r := 0; r < rounds; r++ {
+		if r%2 == 0 {
+			baseNs[r] = float64(timeOps(nb, base).Nanoseconds()) / float64(nb)
+			fastNs[r] = float64(timeOps(nf, fast).Nanoseconds()) / float64(nf)
+		} else {
+			fastNs[r] = float64(timeOps(nf, fast).Nanoseconds()) / float64(nf)
+			baseNs[r] = float64(timeOps(nb, base).Nanoseconds()) / float64(nb)
+		}
+		ratios[r] = baseNs[r] / fastNs[r]
+	}
+	k.Base.NsPerOp, k.Fast.NsPerOp = median(baseNs), median(fastNs)
+	k.Base.N, k.Fast.N = nb*rounds, nf*rounds
+	k.Speedup = median(ratios)
+	k.SpeedupMin, k.SpeedupMax = slices.Min(ratios), slices.Max(ratios)
+
+	ops := int(min(max(budget/4/(tb+tf), 2), 4096))
+	k.Base.AllocsPerOp, k.Base.BytesPerOp = countAllocs(ops, base)
+	k.Fast.AllocsPerOp, k.Fast.BytesPerOp = countAllocs(ops, fast)
+	return k
+}
+
+// perOp estimates fn's time per call from batches growing fourfold
+// until one lasts at least 200µs (a single short call is mostly timer
+// noise).
+func perOp(fn func()) time.Duration {
+	for n := 1; ; n *= 4 {
+		if d := timeOps(n, fn); d >= 200*time.Microsecond || n >= 1<<16 {
+			return max(d/time.Duration(n), time.Nanosecond)
+		}
+	}
+}
+
+// timeOps returns the wall-clock time of n consecutive calls with the
+// garbage collector off, collecting before the batch. A batch is so
+// never charged for garbage collection — neither its own, whose share
+// would depend on the batch length and so on the time budget, nor the
+// previous batch's, which would slow the fast path timed after an
+// allocating slow path. Allocation cost itself stays in the time and is
+// gated separately through allocs/op.
+func timeOps(n int, fn func()) time.Duration {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	return time.Since(start)
+}
+
+// countAllocs returns fn's mallocs and bytes per call over n calls,
+// counted with one P and the garbage collector off. Either would
+// otherwise make the count depend on timing: a collection empties every
+// sync.Pool, and a goroutine that moves to another P between a pool Put
+// and the next Get misses the item left in the first P's private slot —
+// both turn into fresh allocations. A collection before the pass and
+// one unmeasured call refill the pools first.
+func countAllocs(n int, fn func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fn()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	start := time.Now()
-	n, batch := 0, 1
-	for time.Since(start) < budget {
-		for i := 0; i < batch; i++ {
-			fn()
-		}
-		n += batch
-		if batch < 1<<18 {
-			batch *= 2
-		}
+	for i := 0; i < n; i++ {
+		fn()
 	}
-	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
-	return Measure{
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(n),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
-		N:           n,
-	}
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// median returns the median of xs (len(xs) odd), leaving xs unchanged.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 // instance is one benchmark topology with the derived inputs the
@@ -232,6 +324,11 @@ func Run(opts Options) (*Report, error) {
 			fmt.Fprintf(opts.Log, format+"\n", args...)
 		}
 	}
+	logKernel := func(k Kernel) {
+		logf("%-28s %-10s %12.0f ns/op %8.1f allocs/op | %-10s %12.0f ns/op %8.1f allocs/op | %5.2fx [%.2f-%.2f]",
+			k.Name, k.BaseLabel, k.Base.NsPerOp, k.Base.AllocsPerOp,
+			k.FastLabel, k.Fast.NsPerOp, k.Fast.AllocsPerOp, k.Speedup, k.SpeedupMin, k.SpeedupMax)
+	}
 	ins, err := instances(opts.Quick)
 	if err != nil {
 		return nil, err
@@ -247,9 +344,7 @@ func Run(opts Options) (*Report, error) {
 		}
 		for _, k := range ks {
 			rep.Kernels = append(rep.Kernels, k)
-			logf("%-28s %-10s %12.0f ns/op %8.1f allocs/op | %-10s %12.0f ns/op %8.1f allocs/op | %5.2fx",
-				k.Name, k.BaseLabel, k.Base.NsPerOp, k.Base.AllocsPerOp,
-				k.FastLabel, k.Fast.NsPerOp, k.Fast.AllocsPerOp, k.Speedup)
+			logKernel(k)
 		}
 	}
 	rks, rpar, err := robustSampleBench(budget)
@@ -258,9 +353,7 @@ func Run(opts Options) (*Report, error) {
 	}
 	for _, k := range rks {
 		rep.Kernels = append(rep.Kernels, k)
-		logf("%-28s %-10s %12.0f ns/op %8.1f allocs/op | %-10s %12.0f ns/op %8.1f allocs/op | %5.2fx",
-			k.Name, k.BaseLabel, k.Base.NsPerOp, k.Base.AllocsPerOp,
-			k.FastLabel, k.Fast.NsPerOp, k.Fast.AllocsPerOp, k.Speedup)
+		logKernel(k)
 	}
 	par1, err := parityChecks(ins[0])
 	if err != nil {
@@ -307,17 +400,7 @@ func kernelSuite(in *instance, budget time.Duration) ([]Kernel, error) {
 	flowBuf := make([]float64, g.NumLinks())
 
 	kernel := func(name, baseLabel, fastLabel string, portable bool, base, fast func()) Kernel {
-		b := measure(budget, base)
-		f := measure(budget, fast)
-		return Kernel{
-			Name:      in.name + "/" + name,
-			BaseLabel: baseLabel,
-			FastLabel: fastLabel,
-			Base:      b,
-			Fast:      f,
-			Speedup:   b.NsPerOp / f.NsPerOp,
-			Portable:  portable,
-		}
+		return compare(in.name+"/"+name, baseLabel, fastLabel, portable, budget, base, fast)
 	}
 
 	out := []Kernel{

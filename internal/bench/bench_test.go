@@ -3,7 +3,9 @@ package bench
 import (
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func kernelReport(speedup, allocs, ns float64) *Report {
@@ -164,3 +166,54 @@ func TestHarnessQuickSmoke(t *testing.T) {
 		}
 	}
 }
+
+var sinkBytes [][]byte
+
+// TestCountAllocsExact pins the quiet allocation pass: a call making
+// three heap allocations counts exactly three, and a call served by a
+// sync.Pool counts none — no collection or P migration in the pass can
+// empty the pool under it.
+func TestCountAllocsExact(t *testing.T) {
+	three := func() {
+		sinkBytes = append(sinkBytes[:0], make([]byte, 64), make([]byte, 128), make([]byte, 256))
+	}
+	three()
+	if got, _ := countAllocs(100, three); got != 3 {
+		t.Fatalf("countAllocs = %v allocs/op, want exactly 3", got)
+	}
+	if raceEnabled {
+		return // the race detector's sync.Pool discards items at random
+	}
+	pool := sync.Pool{New: func() any { return new([4096]byte) }}
+	pooled := func() { pool.Put(pool.Get()) }
+	if got, _ := countAllocs(1000, pooled); got != 0 {
+		t.Fatalf("countAllocs = %v allocs/op for a pooled call, want 0", got)
+	}
+}
+
+// TestCompareReportsMedianWithinBand checks compare's bookkeeping: the
+// speedup lies inside its recorded noise band, and a slow path doing
+// strictly more of the same work than the fast path measures slower.
+func TestCompareReportsMedianWithinBand(t *testing.T) {
+	work := func(n int) func() {
+		return func() {
+			x := 0
+			for i := 0; i < n; i++ {
+				x += i * i
+			}
+			sinkInt = x
+		}
+	}
+	k := compare("t/k", "slow", "fast", true, 20*time.Millisecond, work(40000), work(1000))
+	if !(k.SpeedupMin <= k.Speedup && k.Speedup <= k.SpeedupMax) {
+		t.Fatalf("speedup %v outside its band [%v, %v]", k.Speedup, k.SpeedupMin, k.SpeedupMax)
+	}
+	if k.Speedup <= 1 || k.Base.N <= 0 || k.Fast.N <= 0 {
+		t.Fatalf("40x more work measured as speedup %v (N %d/%d)", k.Speedup, k.Base.N, k.Fast.N)
+	}
+	if k.Base.AllocsPerOp != 0 || k.Fast.AllocsPerOp != 0 {
+		t.Fatalf("non-allocating paths counted %v/%v allocs/op", k.Base.AllocsPerOp, k.Fast.AllocsPerOp)
+	}
+}
+
+var sinkInt int

@@ -3,10 +3,12 @@ package bench
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	spef "repro"
@@ -15,7 +17,8 @@ import (
 // SweepThroughput compares the sharded sweep pipeline against the
 // single-process batch path on one suite: cells/sec on each path, and
 // ShardEfficiency — single-process elapsed over sharded elapsed (all
-// shards run back to back in-process, plus the merge), so values near
+// shards run back to back in-process, plus the merge; the median over
+// interleaved rounds), so values near
 // 1 mean the shard/checkpoint/merge machinery is close to free. The
 // ratio is measured in one process, so machine speed cancels and Check
 // gates it; the raw cells/sec are machine-dependent trend data.
@@ -26,6 +29,10 @@ type SweepThroughput struct {
 	SingleCellsPerSec float64 `json:"single_cells_per_sec"`
 	ShardCellsPerSec  float64 `json:"shard_cells_per_sec"`
 	ShardEfficiency   float64 `json:"shard_efficiency"`
+	// ShardEfficiencyMin and ShardEfficiencyMax bound the per-round
+	// ratios the median ShardEfficiency was taken from.
+	ShardEfficiencyMin float64 `json:"shard_efficiency_min,omitempty"`
+	ShardEfficiencyMax float64 `json:"shard_efficiency_max,omitempty"`
 }
 
 // sweepSuite is the zoo-fixture sweep both bench modes run: identical
@@ -56,58 +63,71 @@ func sweepThroughput() ([]SweepThroughput, []Parity, error) {
 		return nil, nil, err
 	}
 	ctx := context.Background()
-	const shards, reps = 2, 5
-
-	// Best-of-5 on both paths: the sweep is milliseconds long, so a
-	// single elapsed sample would make the efficiency ratio scheduling
-	// noise rather than pipeline overhead.
+	const shards, reps = 2, 9
 	var results []spef.ScenarioResult
-	var single bytes.Buffer
-	singleSecs := math.Inf(1)
-	for r := 0; r < reps; r++ {
+	var single, merged bytes.Buffer
+	var info *spef.MergeInfo
+	runSingle := func() (float64, error) {
 		start := time.Now()
 		res, err := suite.Collect(ctx)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		var buf bytes.Buffer
 		if err := spef.WriteResults(spef.NewJSONLSink(&buf), res); err != nil {
-			return nil, nil, err
+			return 0, err
 		}
-		singleSecs = math.Min(singleSecs, time.Since(start).Seconds())
+		secs := time.Since(start).Seconds()
 		results, single = res, buf
+		return secs, nil
 	}
-
-	var merged bytes.Buffer
-	var info *spef.MergeInfo
-	shardSecs := math.Inf(1)
-	for r := 0; r < reps; r++ {
+	runSharded := func() (float64, error) {
 		dir, err := os.MkdirTemp("", "spef-bench-sweep")
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
+		defer os.RemoveAll(dir)
 		start := time.Now()
 		var paths []string
 		for i := 0; i < shards; i++ {
 			p := filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i))
 			if _, err := suite.RunShard(ctx, spef.ShardSpec{Index: i, Count: shards}, p,
 				spef.ShardOptions{CheckpointEvery: 8}); err != nil {
-				os.RemoveAll(dir)
-				return nil, nil, err
+				return 0, err
 			}
 			paths = append(paths, p)
 		}
 		var buf bytes.Buffer
 		in, err := spef.MergeShardsJSONL(&buf, paths...)
 		if err != nil {
-			os.RemoveAll(dir)
+			return 0, err
+		}
+		secs := time.Since(start).Seconds()
+		merged, info = buf, in
+		return secs, nil
+	}
+	// The sweep is milliseconds long, so one elapsed sample per path
+	// would make the efficiency ratio scheduling noise rather than
+	// pipeline overhead: the paths alternate over reps rounds (which
+	// goes first alternates too) and the reported ratio is the median
+	// of the per-round ratios.
+	singleSecs := make([]float64, reps)
+	shardSecs := make([]float64, reps)
+	ratios := make([]float64, reps)
+	for r := 0; r < reps; r++ {
+		var errA, errB error
+		if r%2 == 0 {
+			singleSecs[r], errA = runSingle()
+			shardSecs[r], errB = runSharded()
+		} else {
+			shardSecs[r], errB = runSharded()
+			singleSecs[r], errA = runSingle()
+		}
+		if err := errors.Join(errA, errB); err != nil {
 			return nil, nil, err
 		}
-		shardSecs = math.Min(shardSecs, time.Since(start).Seconds())
-		merged, info = buf, in
-		os.RemoveAll(dir)
+		ratios[r] = singleSecs[r] / shardSecs[r]
 	}
-
 	same := info.Cells == len(results)
 	detail := fmt.Sprintf("%d cells, %d-way sharded+checkpointed+merged JSONL vs single-process batch", len(results), shards)
 	if same {
@@ -117,16 +137,18 @@ func sweepThroughput() ([]SweepThroughput, []Parity, error) {
 		}
 	}
 	st := SweepThroughput{
-		Name:            "zoo/suite-shard-vs-single",
-		Cells:           len(results),
-		Shards:          shards,
-		ShardEfficiency: singleSecs / shardSecs,
+		Name:               "zoo/suite-shard-vs-single",
+		Cells:              len(results),
+		Shards:             shards,
+		ShardEfficiency:    median(ratios),
+		ShardEfficiencyMin: slices.Min(ratios),
+		ShardEfficiencyMax: slices.Max(ratios),
 	}
-	if singleSecs > 0 {
-		st.SingleCellsPerSec = float64(len(results)) / singleSecs
+	if secs := median(singleSecs); secs > 0 {
+		st.SingleCellsPerSec = float64(len(results)) / secs
 	}
-	if shardSecs > 0 {
-		st.ShardCellsPerSec = float64(len(results)) / shardSecs
+	if secs := median(shardSecs); secs > 0 {
+		st.ShardCellsPerSec = float64(len(results)) / secs
 	}
 	par := Parity{
 		Name:         "zoo/shard-merge-vs-single",

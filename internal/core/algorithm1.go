@@ -84,6 +84,14 @@ type FirstWeightResult struct {
 	Iters int
 	// Gap is the final absolute dual gap.
 	Gap float64
+	// RefineIters, RefineGap and RefineConverged report the primal
+	// refinement: the Frank-Wolfe iterations of its final solve, the
+	// relative gap it reached and whether that gap is within its 1e-9
+	// tolerance. The beta = 0 refinement is an exact LP (RefineConverged
+	// true, no iterations); without refinement all three are zero.
+	RefineIters     int
+	RefineGap       float64
+	RefineConverged bool
 }
 
 // wFloor keeps every weight strictly positive so shortest-path distances
@@ -178,7 +186,7 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 		finalGap = gap
 
 		if opts.TraceEvery > 0 && k%opts.TraceEvery == 0 {
-			trace = append(trace, dualObjective(g, obj, w, s, flow))
+			trace = append(trace, dualObjective(links, obj, w, s, flow))
 		}
 
 		// Tail averages for primal recovery.
@@ -193,7 +201,7 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 					dst[e] += x
 				}
 			}
-			if math.Abs(gap) <= opts.Tol*(1+math.Abs(dualObjective(g, obj, w, s, flow))) {
+			if math.Abs(gap) <= opts.Tol*(1+math.Abs(dualObjective(links, obj, w, s, flow))) {
 				break
 			}
 		}
@@ -249,6 +257,7 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 				return nil, fmt.Errorf("core: primal refinement (beta=0 LP): %w", err)
 			}
 			res.Flow = lpFlow
+			res.RefineConverged = true
 		} else {
 			fw, err := mcf.FrankWolfeContinuation(ctx, g, tm, obj, mcf.FWOptions{
 				MaxIters: 2000,
@@ -259,6 +268,7 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 				return nil, fmt.Errorf("core: primal refinement: %w", err)
 			}
 			res.Flow = fw.Flow
+			res.RefineIters, res.RefineGap, res.RefineConverged = fw.Iters, fw.Gap, fw.Converged
 		}
 	}
 	for _, l := range links {
@@ -292,9 +302,9 @@ func FirstWeights(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, obj *
 //
 // where the last term equals the minimum routing cost because the flow
 // is all-or-nothing on shortest paths. Plotted in Fig. 12(a).
-func dualObjective(g *graph.Graph, obj *objective.QBeta, w, s []float64, flow *mcf.Flow) float64 {
+func dualObjective(links []graph.Link, obj *objective.QBeta, w, s []float64, flow *mcf.Flow) float64 {
 	var d float64
-	for _, l := range g.Links() {
+	for _, l := range links {
 		d += obj.V(l.ID, s[l.ID]) - w[l.ID]*s[l.ID] + w[l.ID]*l.Cap - w[l.ID]*flow.Total[l.ID]
 	}
 	return d

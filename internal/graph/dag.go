@@ -31,10 +31,10 @@ type DAG struct {
 }
 
 // buildDAG populates the arena-or-fresh DAG d from distances already in
-// d.Dist: link membership, adjacency, and the cached processing order.
-// d.Out/d.In must have length NumNodes; their per-node slices are
-// truncated and refilled, retaining capacity (the workspace arena's
-// zero-allocation steady state).
+// d.Dist: link membership and adjacency. d.Out/d.In must have length
+// NumNodes; their per-node slices are truncated and refilled, retaining
+// capacity (the workspace arena's zero-allocation steady state). The
+// caller sets the cached processing order d.order.
 func buildDAG(g *Graph, weights []float64, d *DAG, downward bool, eps float64) {
 	for u := range d.Out {
 		d.Out[u] = d.Out[u][:0]
@@ -55,7 +55,25 @@ func buildDAG(g *Graph, weights []float64, d *DAG, downward bool, eps float64) {
 		d.Out[l.From] = append(d.Out[l.From], l.ID)
 		d.In[l.To] = append(d.In[l.To], l.ID)
 	}
-	d.order = appendNodesDescending(d.order[:0], d.Dist)
+}
+
+// newDAG runs Dijkstra toward dst on fresh storage and returns the DAG
+// shell the package-level builders fill: distances, empty adjacency,
+// and the processing order derived from the settle order.
+func newDAG(g *Graph, weights []float64, dst int, tol float64) (*DAG, error) {
+	if err := checkSP(g, weights, dst); err != nil {
+		return nil, err
+	}
+	dist, order := dijkstraAlloc(g, weights, dst, make([]int, 0, g.NumNodes()))
+	settledDescending(order, dist)
+	return &DAG{
+		Dst:   dst,
+		Dist:  dist,
+		Out:   make([][]int, g.NumNodes()),
+		In:    make([][]int, g.NumNodes()),
+		Tol:   tol,
+		order: order,
+	}, nil
 }
 
 // appendNodesDescending appends the reachable nodes ordered by
@@ -94,16 +112,9 @@ func BuildDAG(g *Graph, weights []float64, dst int, tol float64) (*DAG, error) {
 	if tol < 0 {
 		return nil, fmt.Errorf("graph: negative tolerance %v", tol)
 	}
-	sp, err := DijkstraTo(g, weights, dst)
+	d, err := newDAG(g, weights, dst, tol)
 	if err != nil {
 		return nil, err
-	}
-	d := &DAG{
-		Dst:  dst,
-		Dist: sp.Dist,
-		Out:  make([][]int, g.NumNodes()),
-		In:   make([][]int, g.NumNodes()),
-		Tol:  tol,
 	}
 	buildDAG(g, weights, d, false, dagEps(tol))
 	return d, nil
@@ -125,6 +136,7 @@ func (ws *Workspace) BuildDAG(g *Graph, weights []float64, dst int, tol float64)
 	d := &ws.dag
 	d.Dst, d.Dist, d.Tol = dst, sp.Dist, tol
 	buildDAG(g, weights, d, false, dagEps(tol))
+	d.order = ws.appendOrder(d.order[:0], d.Dist)
 	return d, nil
 }
 

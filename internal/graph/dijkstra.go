@@ -122,8 +122,11 @@ func (q *priorityQueue) popMin() pqItem {
 // dijkstraTo is the shared kernel behind DijkstraTo and
 // Workspace.DijkstraTo: reverse Dijkstra over incoming links with an
 // indexed heap, writing distances into dist (length NumNodes) using the
-// given heap scratch. It performs no allocation.
-func dijkstraTo(g *Graph, weights []float64, dst int, dist []float64, q *priorityQueue) {
+// given heap scratch. When settled is non-nil every node is appended to
+// it as it settles (pass a slice with capacity NumNodes to stay
+// allocation-free); the extended slice is returned. It performs no
+// allocation.
+func dijkstraTo(g *Graph, weights []float64, dst int, dist []float64, q *priorityQueue, settled []int) []int {
 	n := g.NumNodes()
 	for i := 0; i < n; i++ {
 		dist[i] = Unreachable
@@ -133,6 +136,9 @@ func dijkstraTo(g *Graph, weights []float64, dst int, dist []float64, q *priorit
 	q.push(dst, 0)
 	for len(q.items) > 0 {
 		it := q.popMin()
+		if settled != nil {
+			settled = append(settled, it.node)
+		}
 		for _, id := range g.InLinks(it.node) {
 			from := g.links[id].From
 			cand := it.dist + weights[id]
@@ -146,6 +152,7 @@ func dijkstraTo(g *Graph, weights []float64, dst int, dist []float64, q *priorit
 			}
 		}
 	}
+	return settled
 }
 
 // checkSP validates the (weights, dst) pair shared by every
@@ -154,11 +161,23 @@ func checkSP(g *Graph, weights []float64, dst int) error {
 	if err := checkWeights(g, weights); err != nil {
 		return err
 	}
+	return checkDst(g, dst)
+}
+
+func checkDst(g *Graph, dst int) error {
 	if dst < 0 || dst >= g.NumNodes() {
 		return fmt.Errorf("graph: destination %d out of range", dst)
 	}
 	return nil
 }
+
+// CheckWeights validates a per-link weight vector for shortest-path
+// use: one entry per link, none negative or NaN. It returns exactly the
+// error every shortest-path entry point would return for the vector.
+// Callers that run many shortest-path computations under one vector
+// (one per destination) check it once here and then use
+// Workspace.DijkstraToChecked.
+func CheckWeights(g *Graph, weights []float64) error { return checkWeights(g, weights) }
 
 // DijkstraTo computes the shortest distance from every node to dst under
 // the given non-negative per-link weights (reverse Dijkstra over incoming
@@ -170,25 +189,51 @@ func DijkstraTo(g *Graph, weights []float64, dst int) (*SPResult, error) {
 	if err := checkSP(g, weights, dst); err != nil {
 		return nil, err
 	}
+	dist, _ := dijkstraAlloc(g, weights, dst, nil)
+	return &SPResult{Dst: dst, Dist: dist}, nil
+}
+
+// dijkstraAlloc runs the kernel on freshly allocated distance and heap
+// storage, appending the settle order onto settled when it is non-nil.
+func dijkstraAlloc(g *Graph, weights []float64, dst int, settled []int) ([]float64, []int) {
 	n := g.NumNodes()
 	dist := make([]float64, n)
 	q := &priorityQueue{items: make([]pqItem, 0, n), pos: make([]int, n)}
-	dijkstraTo(g, weights, dst, dist, q)
-	return &SPResult{Dst: dst, Dist: dist}, nil
+	settled = dijkstraTo(g, weights, dst, dist, q, settled)
+	return dist, settled
 }
 
 // DijkstraTo is the workspace-backed form of the package-level
 // DijkstraTo: bit-identical distances, zero allocation in steady state.
-// The returned result shares workspace storage and is valid until the
-// next call on ws.
+// The workspace also records the settle order, from which
+// NodesByDistDesc and BuildDAG derive the decreasing-distance order
+// without sorting. The returned result shares workspace storage and is
+// valid until the next call on ws.
 func (ws *Workspace) DijkstraTo(g *Graph, weights []float64, dst int) (*SPResult, error) {
 	if err := checkSP(g, weights, dst); err != nil {
 		return nil, err
 	}
+	return ws.dijkstra(g, weights, dst), nil
+}
+
+// DijkstraToChecked is Workspace.DijkstraTo for a weight vector that
+// already passed CheckWeights against g: it skips the O(links) weight
+// scan (dst is still range-checked) and is otherwise identical. An
+// unchecked vector with negative or NaN entries yields unspecified
+// distances.
+func (ws *Workspace) DijkstraToChecked(g *Graph, weights []float64, dst int) (*SPResult, error) {
+	if err := checkDst(g, dst); err != nil {
+		return nil, err
+	}
+	return ws.dijkstra(g, weights, dst), nil
+}
+
+func (ws *Workspace) dijkstra(g *Graph, weights []float64, dst int) *SPResult {
 	ws.fit(g)
-	dijkstraTo(g, weights, dst, ws.dist, &ws.pq)
+	ws.settled = dijkstraTo(g, weights, dst, ws.dist, &ws.pq, ws.settled[:0])
+	ws.hasSettled = true
 	ws.sp = SPResult{Dst: dst, Dist: ws.dist}
-	return &ws.sp, nil
+	return &ws.sp
 }
 
 // bellmanFordTo relaxes every link until a pass settles (no distance
@@ -243,6 +288,7 @@ func (ws *Workspace) BellmanFordTo(g *Graph, weights []float64, dst int) (*SPRes
 	}
 	ws.fit(g)
 	bellmanFordTo(g, weights, dst, ws.dist)
+	ws.hasSettled = false // ws.dist no longer matches the settle order
 	ws.sp = SPResult{Dst: dst, Dist: ws.dist}
 	return &ws.sp, nil
 }

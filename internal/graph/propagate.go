@@ -10,16 +10,9 @@ import (
 // (dist[v] < dist[u]). This is the forwarding structure of downward PEFT
 // (Xu-Chiang-Rexford), a superset of the shortest-path DAG.
 func DownwardDAG(g *Graph, weights []float64, dst int) (*DAG, error) {
-	sp, err := DijkstraTo(g, weights, dst)
+	d, err := newDAG(g, weights, dst, math.Inf(1))
 	if err != nil {
 		return nil, err
-	}
-	d := &DAG{
-		Dst:  dst,
-		Dist: sp.Dist,
-		Out:  make([][]int, g.NumNodes()),
-		In:   make([][]int, g.NumNodes()),
-		Tol:  math.Inf(1),
 	}
 	buildDAG(g, weights, d, true, 0)
 	return d, nil
@@ -36,6 +29,7 @@ func (ws *Workspace) DownwardDAG(g *Graph, weights []float64, dst int) (*DAG, er
 	d := &ws.dag
 	d.Dst, d.Dist, d.Tol = dst, sp.Dist, math.Inf(1)
 	buildDAG(g, weights, d, true, 0)
+	d.order = ws.appendOrder(d.order[:0], d.Dist)
 	return d, nil
 }
 

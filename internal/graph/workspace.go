@@ -1,6 +1,9 @@
 package graph
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Workspace is a reusable scratch arena for the shortest-path kernels:
 // it owns the indexed heap, distance/visited buffers, the DAG arena and
@@ -34,6 +37,12 @@ type Workspace struct {
 	demand []float64 // per-node demand scratch for callers (DemandBuffer)
 	order  []int     // node-order scratch for the all-or-nothing kernel
 	next   []int     // next-hop scratch for the all-or-nothing kernel
+
+	// settled is the order in which the latest DijkstraTo settled the
+	// nodes; hasSettled reports that dist still holds that run's
+	// distances (BellmanFordTo overwrites them).
+	settled    []int
+	hasSettled bool
 }
 
 // NewWorkspace returns a workspace sized for g's shape.
@@ -56,6 +65,8 @@ func (ws *Workspace) Reset(g *Graph) {
 	ws.ratio = growFloats(ws.ratio, m)
 	ws.order = growInts(ws.order, n)
 	ws.next = growInts(ws.next, n)
+	ws.settled = growInts(ws.settled, n)[:0]
+	ws.hasSettled = false
 	ws.pq.pos = growInts(ws.pq.pos, n)
 	if cap(ws.pq.items) < n {
 		ws.pq.items = make([]pqItem, 0, n)
@@ -97,11 +108,67 @@ func (ws *Workspace) NextBuffer(g *Graph) []int {
 
 // NodesByDistDesc returns the nodes reachable in sp ordered by
 // decreasing distance, ties by increasing ID — the same order DAGs
-// cache. The returned slice is workspace-owned scratch, valid until the
-// next call on ws.
+// cache. When sp is the result of the latest DijkstraTo on ws, the
+// order is derived from the recorded settle order (reversed, with only
+// equal-distance runs put in ID order; see settledDescending); any
+// other sp is sorted. The returned slice is workspace-owned scratch,
+// valid until the next call on ws.
 func (ws *Workspace) NodesByDistDesc(sp *SPResult) []int {
-	ws.order = appendNodesDescending(ws.order[:0], sp.Dist)
+	ws.order = ws.appendOrder(ws.order[:0], sp.Dist)
 	return ws.order
+}
+
+// appendOrder appends the reachable nodes of dist in decreasing-
+// distance, increasing-ID order onto buf, from the recorded settle
+// order when dist is the latest DijkstraTo's result.
+func (ws *Workspace) appendOrder(buf []int, dist []float64) []int {
+	if ws.hasSettled && len(dist) > 0 && len(dist) == len(ws.dist) && &dist[0] == &ws.dist[0] {
+		start := len(buf)
+		buf = append(buf, ws.settled...)
+		settledDescending(buf[start:], dist)
+		return buf
+	}
+	return appendNodesDescending(buf, dist)
+}
+
+// settledDescending rearranges nodes, a Dijkstra settle order, in place
+// into decreasing-distance, increasing-ID order, reporting whether the
+// settle order was nondecreasing in distance as Dijkstra guarantees.
+//
+// Nodes settle in nondecreasing distance for any non-negative weights
+// (float addition of a non-negative weight never decreases a
+// distance), so reversing the order leaves only the ties out of place:
+// each run of equal distances is then sorted by ID. One O(n) scan
+// checks the premise; should it fail, the nodes are heapsorted
+// instead. Either way the result equals sortNodesByDistDesc of the
+// same nodes, bit for bit.
+//
+// The heap itself stays keyed by distance alone. Keying it by
+// (dist, -id) would settle ties in the wanted order already, but with
+// the integer weights of OSPF-style routers nearly every comparison is
+// a tie, and breaking them makes every sift run to the bottom of the
+// heap — more work than ordering the runs afterwards.
+func settledDescending(nodes []int, dist []float64) bool {
+	for i := 1; i < len(nodes); i++ {
+		if dist[nodes[i-1]] > dist[nodes[i]] {
+			sortNodesByDistDesc(nodes, dist)
+			return false
+		}
+	}
+	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
+		nodes[i], nodes[j] = nodes[j], nodes[i]
+	}
+	for i := 0; i < len(nodes); {
+		j := i + 1
+		for j < len(nodes) && dist[nodes[j]] == dist[nodes[i]] {
+			j++
+		}
+		if j-i > 1 {
+			slices.Sort(nodes[i:j])
+		}
+		i = j
+	}
+	return true
 }
 
 // growFloats returns a slice of length n, reusing s's storage when it

@@ -2,6 +2,7 @@ package mcf
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -25,32 +26,39 @@ func AllOrNothing(g *graph.Graph, tm *traffic.Matrix, weights []float64) (*Flow,
 // AllOrNothingInto is AllOrNothing with an optional reusable output flow
 // (it must have been created for the same graph and destinations; nil
 // allocates a fresh one). Iterative algorithms call this once per
-// iteration, so reuse removes the dominant allocation.
+// iteration, so reuse removes the dominant allocation: with a reused
+// flow and the worker pool idle, a call allocates nothing.
 //
-// Destinations are routed concurrently: each commodity's assignment
-// depends only on the shared weights and writes only its own per-
-// destination vector, so the result is bit-identical to the sequential
-// loop for any worker count (Total is rebuilt in destination order).
+// The weight vector is validated once per call, not once per
+// destination. Destinations are routed concurrently: each commodity's
+// assignment depends only on the shared weights and writes only its own
+// per-destination vector, so the result is bit-identical to the
+// sequential loop for any worker count (Total is rebuilt in destination
+// order).
 func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flow *Flow) (*Flow, error) {
-	dests := tm.Destinations()
+	c := aonCalls.Get().(*aonCall)
+	defer c.release()
+	c.dests = tm.AppendDestinations(c.dests[:0])
 	if flow == nil {
-		flow = NewFlow(g, dests)
+		flow = NewFlow(g, c.dests)
 	} else {
-		for _, t := range dests {
+		for _, t := range c.dests {
 			if _, ok := flow.PerDest[t]; !ok {
 				return nil, fmt.Errorf("mcf: reused flow lacks commodity %d", t)
 			}
 		}
 	}
-	errs := make([]error, len(dests))
-	par.Do(len(dests), func(i int) {
-		ws := workspaces.Get(g)
-		errs[i] = aonDestination(g, tm, weights, dests[i], flow.PerDest[dests[i]], ws)
-		workspaces.Put(ws)
-	})
+	if len(c.dests) > 0 {
+		if err := graph.CheckWeights(g, weights); err != nil {
+			return nil, err
+		}
+	}
+	c.g, c.tm, c.weights, c.flow = g, tm, weights, flow
+	c.errs = append(c.errs[:0], make([]error, len(c.dests))...)
+	par.Do(len(c.dests), c.run)
 	// Scanning in index order keeps the reported failure independent
 	// of scheduling order.
-	for _, err := range errs {
+	for _, err := range c.errs {
 		if err != nil {
 			return nil, err
 		}
@@ -59,11 +67,45 @@ func AllOrNothingInto(g *graph.Graph, tm *traffic.Matrix, weights []float64, flo
 	return flow, nil
 }
 
+// aonCall carries one AllOrNothingInto call's shared state to its
+// per-destination workers. Calls are pooled, and run is bound once per
+// pooled value, so handing the loop body to par.Do allocates nothing.
+type aonCall struct {
+	g       *graph.Graph
+	tm      *traffic.Matrix
+	weights []float64
+	flow    *Flow
+	dests   []int
+	errs    []error
+	run     func(i int)
+}
+
+var aonCalls = sync.Pool{New: func() any {
+	c := &aonCall{}
+	c.run = c.routeDestination
+	return c
+}}
+
+func (c *aonCall) routeDestination(i int) {
+	ws := workspaces.Get(c.g)
+	t := c.dests[i]
+	c.errs[i] = aonDestination(c.g, c.tm, c.weights, t, c.flow.PerDest[t], ws)
+	workspaces.Put(ws)
+}
+
+// release drops the call's references to caller data and recycles it.
+func (c *aonCall) release() {
+	c.g, c.tm, c.weights, c.flow = nil, nil, nil, nil
+	clear(c.errs)
+	aonCalls.Put(c)
+}
+
 // aonDestination routes commodity t's demand on shortest paths under
 // weights, overwriting ft (the commodity's per-link vector). All scratch
 // comes from ws, so steady-state calls allocate only on error paths.
+// The caller has validated weights with graph.CheckWeights.
 func aonDestination(g *graph.Graph, tm *traffic.Matrix, weights []float64, t int, ft []float64, ws *graph.Workspace) error {
-	sp, err := ws.DijkstraTo(g, weights, t)
+	sp, err := ws.DijkstraToChecked(g, weights, t)
 	if err != nil {
 		return err
 	}

@@ -20,6 +20,10 @@ var ErrInfeasible = errors.New("mcf: infeasible")
 type Flow struct {
 	PerDest map[int][]float64
 	Total   []float64
+
+	// dests caches PerDest's keys in increasing order for
+	// RecomputeTotal; sortedDests revalidates it against the map.
+	dests []int
 }
 
 // NewFlow returns an all-zero flow for the given destinations.
@@ -56,16 +60,36 @@ func (f *Flow) RecomputeTotal() {
 	for i := range f.Total {
 		f.Total[i] = 0
 	}
-	dests := make([]int, 0, len(f.PerDest))
-	for t := range f.PerDest {
-		dests = append(dests, t)
-	}
-	sort.Ints(dests)
-	for _, t := range dests {
+	for _, t := range f.sortedDests() {
 		for i, x := range f.PerDest[t] {
 			f.Total[i] += x
 		}
 	}
+}
+
+// sortedDests returns PerDest's keys in increasing order. The sorted
+// list is cached across calls — iterative solvers recompute totals
+// every iteration over a fixed commodity set — and rebuilt whenever the
+// map's key set no longer matches it.
+func (f *Flow) sortedDests() []int {
+	if len(f.dests) == len(f.PerDest) {
+		ok := true
+		for _, t := range f.dests {
+			if _, in := f.PerDest[t]; !in {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return f.dests
+		}
+	}
+	f.dests = f.dests[:0]
+	for t := range f.PerDest {
+		f.dests = append(f.dests, t)
+	}
+	sort.Ints(f.dests)
+	return f.dests
 }
 
 // Blend sets f to (1-gamma)*f + gamma*g, the Frank-Wolfe step.

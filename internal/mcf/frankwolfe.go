@@ -36,6 +36,11 @@ type FWResult struct {
 	Gap float64
 	// Iters is the number of iterations performed.
 	Iters int
+	// Converged reports that the solver stopped because the gap fell
+	// within FWOptions.RelGap. False means it stopped short of its
+	// tolerance: the iteration cap was hit, or the line search could
+	// make no progress.
+	Converged bool
 }
 
 // FrankWolfe minimizes the convex separable cost sum_e Phi_e(f_e) over
@@ -61,9 +66,10 @@ func FrankWolfe(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, cost ob
 	if err != nil {
 		return nil, err
 	}
+	links := g.Links()
 	totalCost := func(f *Flow) float64 {
 		var c float64
-		for _, l := range g.Links() {
+		for _, l := range links {
 			c += cost.Cost(l.ID, f.Total[l.ID], l.Cap)
 		}
 		return c
@@ -72,14 +78,20 @@ func FrankWolfe(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, cost ob
 	if math.IsInf(cur, 1) {
 		return nil, fmt.Errorf("%w: no strictly feasible starting flow", ErrInfeasible)
 	}
+	// Iteration buffers, reused: the linearization prices, the all-or-
+	// nothing target flow and the line-search direction.
+	prices := make([]float64, len(links))
+	dir := make([]float64, len(links))
+	var target *Flow
 	var gap float64
+	converged := false
 	iters := 0
 	for ; iters < opts.MaxIters; iters++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mcf: frank-wolfe canceled at iteration %d: %w", iters, err)
 		}
-		prices := objective.Prices(cost, g, flow.Total)
-		target, err := AllOrNothing(g, tm, prices)
+		objective.PricesInto(cost, g, flow.Total, prices)
+		target, err = AllOrNothingInto(g, tm, prices, target)
 		if err != nil {
 			return nil, err
 		}
@@ -89,16 +101,17 @@ func FrankWolfe(ctx context.Context, g *graph.Graph, tm *traffic.Matrix, cost ob
 			gap += prices[e] * (flow.Total[e] - target.Total[e])
 		}
 		if gap <= opts.RelGap*math.Max(1, math.Abs(cur)) {
+			converged = true
 			break
 		}
-		gamma := fwLineSearch(g, cost, flow, target)
+		gamma := fwLineSearch(links, cost, flow, target, dir)
 		if gamma <= 0 {
 			break
 		}
 		flow.Blend(target, gamma)
 		cur = totalCost(flow)
 	}
-	return &FWResult{Flow: flow, Cost: cur, Gap: gap / math.Max(1, math.Abs(cur)), Iters: iters}, nil
+	return &FWResult{Flow: flow, Cost: cur, Gap: gap / math.Max(1, math.Abs(cur)), Iters: iters, Converged: converged}, nil
 }
 
 // fwStart produces a feasible (for barrier costs, strictly interior)
@@ -224,10 +237,9 @@ func FrankWolfeContinuation(ctx context.Context, g *graph.Graph, tm *traffic.Mat
 
 // fwLineSearch minimizes h(gamma) = cost((1-gamma) f + gamma target)
 // over [0, 1] by bisection on the monotone derivative h'(gamma),
-// guarding against the +Inf barrier region.
-func fwLineSearch(g *graph.Graph, cost objective.CostFunc, flow, target *Flow) float64 {
-	links := g.Links()
-	dir := make([]float64, len(links))
+// guarding against the +Inf barrier region. dir (length len(links)) is
+// scratch for the search direction.
+func fwLineSearch(links []graph.Link, cost objective.CostFunc, flow, target *Flow, dir []float64) float64 {
 	for e := range dir {
 		dir[e] = target.Total[e] - flow.Total[e]
 	}

@@ -75,9 +75,14 @@ func TotalCost(cf CostFunc, g *graph.Graph, flows []float64) float64 {
 // the linearization used by Frank-Wolfe and the weight read-out
 // w_ij = V'(s_ij) of Theorem 3.1.
 func Prices(cf CostFunc, g *graph.Graph, flows []float64) []float64 {
-	out := make([]float64, g.NumLinks())
-	for _, l := range g.Links() {
-		out[l.ID] = cf.Price(l.ID, flows[l.ID], l.Cap)
+	return PricesInto(cf, g, flows, make([]float64, g.NumLinks()))
+}
+
+// PricesInto is Prices writing into out (length NumLinks), for
+// iterative callers that reuse the vector; it returns out.
+func PricesInto(cf CostFunc, g *graph.Graph, flows, out []float64) []float64 {
+	for id := range out[:g.NumLinks()] {
+		out[id] = cf.Price(id, flows[id], g.Link(id).Cap)
 	}
 	return out
 }

@@ -104,6 +104,9 @@ func (o *QBeta) Vp(link int, s float64) float64 {
 	if s <= 0 {
 		return math.Inf(1)
 	}
+	if o.beta == 1 {
+		return q / s // math.Pow(s, 1) == s: the same bits, without the call
+	}
 	return q / math.Pow(s, o.beta)
 }
 
@@ -127,7 +130,10 @@ func (o *QBeta) LinkSpare(link int, w, capacity float64) float64 {
 		}
 		return 0
 	}
-	s := math.Pow(q/w, 1/o.beta)
+	s := q / w // math.Pow(q/w, 1) == q/w: the beta = 1 case, bit for bit
+	if o.beta != 1 {
+		s = math.Pow(s, 1/o.beta)
+	}
 	return math.Min(s, capacity)
 }
 

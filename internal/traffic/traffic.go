@@ -161,17 +161,21 @@ func (m *Matrix) Demands() []Demand {
 
 // Destinations lists the distinct destination nodes with positive inbound
 // demand, in increasing order (the commodity set D of the paper).
-func (m *Matrix) Destinations() []int {
-	var out []int
+func (m *Matrix) Destinations() []int { return m.AppendDestinations(nil) }
+
+// AppendDestinations appends the Destinations list onto buf and returns
+// the extended slice — the allocation-free form for callers that reuse
+// a buffer across calls.
+func (m *Matrix) AppendDestinations(buf []int) []int {
 	for t := 0; t < m.n; t++ {
 		for s := 0; s < m.n; s++ {
 			if m.At(s, t) > 0 {
-				out = append(out, t)
+				buf = append(buf, t)
 				break
 			}
 		}
 	}
-	return out
+	return buf
 }
 
 // ToDestination returns the per-source demand vector d^t for destination

@@ -185,6 +185,8 @@ func sampleFailures(all []localsearch.Failure, k int, seed int64) []localsearch.
 
 func (r ospfLSRouter) reusable() bool { return true }
 
+func (r ospfLSRouter) reuseKey() string { return fmt.Sprintf("OSPF-LS:%+v", r.opts) }
+
 func (r ospfLSRouter) reuseFrom(routes *Routes) (Router, bool) {
 	if routes.weights == nil {
 		return nil, false

@@ -155,9 +155,21 @@ type weightReuser interface {
 	// returned router keeps the original display name so result rows
 	// line up across the load axis.
 	reuseFrom(routes *Routes) (Router, bool)
+	// reuseKey identifies the router's full parameterization: routers
+	// with equal keys optimize identical weights on identical inputs.
+	// Unlike Name it keeps every parameter that can change the result.
+	reuseKey() string
+}
+
+// key spells out every option that can change an optimization's result
+// (progress reporting cannot, so it is left out).
+func (o options) key() string {
+	return fmt.Sprintf("beta=%v,q=%v,iters=%d,split=%d,tol=%v", o.beta, o.q, o.maxIterations, o.splitIterations, o.equalCostTol)
 }
 
 func (r spefRouter) reusable() bool { return true }
+
+func (r spefRouter) reuseKey() string { return "SPEF:" + resolveOptions(r.opts).key() }
 
 func (r spefRouter) reuseFrom(routes *Routes) (Router, bool) {
 	p := routes.Protocol()
@@ -170,6 +182,8 @@ func (r spefRouter) reuseFrom(routes *Routes) (Router, bool) {
 // reusable: only the optimizing form (nil weights) computes anything
 // worth caching.
 func (r peftRouter) reusable() bool { return r.weights == nil }
+
+func (r peftRouter) reuseKey() string { return "PEFT:" + resolveOptions(r.opts).key() }
 
 func (r peftRouter) reuseFrom(routes *Routes) (Router, bool) {
 	if r.weights != nil {
@@ -184,6 +198,13 @@ func (r peftRouter) reuseFrom(routes *Routes) (Router, bool) {
 func (n namedRouter) reusable() bool {
 	wr, ok := n.r.(weightReuser)
 	return ok && wr.reusable()
+}
+
+func (n namedRouter) reuseKey() string {
+	if wr, ok := n.r.(weightReuser); ok {
+		return n.name + ":" + wr.reuseKey()
+	}
+	return n.name
 }
 
 func (n namedRouter) reuseFrom(routes *Routes) (Router, bool) {

@@ -7,14 +7,14 @@ import (
 )
 
 // weightCache backs RunOptions.ReuseWeights: one entry per (topology,
-// failed link, router name) group of cells. The entry's reference cell
-// — the group's lowest-index cell, which under Grid expansion is the
-// first load factor and, for temporal sequences, the first demand step
-// — is optimized exactly once (sync.Once, so concurrent workers wait
-// rather than duplicate the work), the optimized weights are extracted
-// into a fixed-weight router, and every cell of the group (the
-// reference included) re-simulates that router against its own
-// load-scaled, step-specific demands. Keying the reference by index
+// failed link, router parameterization) group of cells. The entry's
+// reference cell — the group's lowest-index cell, which under Grid
+// expansion is the first load factor and, for temporal sequences, the
+// first demand step — is optimized exactly once (sync.Once, so
+// concurrent workers wait rather than duplicate the work), the
+// optimized weights are extracted into a fixed-weight router, and every
+// cell of the group (the reference included) re-simulates that router
+// against its own load-scaled, step-specific demands. Keying the reference by index
 // keeps the cached weights — and therefore every result — independent
 // of worker count and completion order.
 type weightCache struct {
@@ -32,11 +32,18 @@ type weightEntry struct {
 }
 
 // weightKey groups cells that share optimized weights: same topology,
-// same failure variant, same (fully parameterized) router name. Load
-// and demand step do not participate — reusing weights across the load
-// and time axes is the cache's whole point.
-func weightKey(s Scenario) string {
-	return s.Topology + "\x1f" + s.FailedLink + "\x1f" + s.Router.Name()
+// same failure variant, same router parameterization (reuseKey — the
+// display name drops parameters such as a search seed, so two routers
+// can share a name yet optimize different weights). Load and demand
+// step do not participate — reusing weights across the load and time
+// axes is the cache's whole point. ok is false for cells whose router
+// has no reusable weights.
+func weightKey(s Scenario) (key string, ok bool) {
+	wr, isReuser := s.Router.(weightReuser)
+	if !isReuser || !wr.reusable() {
+		return "", false
+	}
+	return s.Topology + "\x1f" + s.FailedLink + "\x1f" + wr.reuseKey(), true
 }
 
 // newWeightCache indexes the scenarios that can share weights. Cells
@@ -47,10 +54,10 @@ func weightKey(s Scenario) string {
 func newWeightCache(scenarios []Scenario) *weightCache {
 	c := &weightCache{entries: make(map[string]*weightEntry)}
 	for _, s := range scenarios {
-		if wr, ok := s.Router.(weightReuser); !ok || !wr.reusable() {
+		k, ok := weightKey(s)
+		if !ok {
 			continue
 		}
-		k := weightKey(s)
 		if _, ok := c.entries[k]; !ok {
 			// Scenarios arrive in expansion order, so the first cell
 			// seen is the group's lowest-index (reference) cell.
@@ -68,7 +75,11 @@ func (c *weightCache) router(ctx context.Context, s Scenario) (Router, error) {
 	if c == nil {
 		return s.Router, nil
 	}
-	e, ok := c.entries[weightKey(s)]
+	k, ok := weightKey(s)
+	if !ok {
+		return s.Router, nil
+	}
+	e, ok := c.entries[k]
 	if !ok {
 		return s.Router, nil
 	}

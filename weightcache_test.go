@@ -160,3 +160,51 @@ func TestReuseWeightsPEFT(t *testing.T) {
 	}
 	metricsBitIdentical(t, "PEFT reuse rerun", got, again)
 }
+
+// TestReuseWeightsKeysOnFullParameterization pins the weight-reuse
+// grouping to a router's full parameterization, not its display name:
+// two OSPF-LS routers that differ only in seed both print "OSPF-LS",
+// yet each group must re-simulate its own optimized weights — exactly
+// what the same router reports when run alone.
+func TestReuseWeightsKeysOnFullParameterization(t *testing.T) {
+	topo, err := spef.ResolveTopology("abilene")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(spec string) spef.Router {
+		r, err := spef.ResolveRouter(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	run := func(routers ...spef.Router) []spef.ScenarioResult {
+		grid := spef.Grid{
+			Topologies: []spef.Topology{topo},
+			Loads:      []float64{0.2, 0.25},
+			Routers:    routers,
+		}
+		cells, err := grid.Scenarios()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := spef.RunScenarios(context.Background(), cells, spef.RunOptions{ReuseWeights: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seed1, seed7 := resolve("ospf-ls:seed=1"), resolve("ospf-ls:seed=7")
+	if seed1.Name() != seed7.Name() {
+		t.Fatalf("display names %q and %q differ; the test needs a name collision", seed1.Name(), seed7.Name())
+	}
+	both := run(seed1, seed7) // routers vary fastest: rows are 0.2/seed1, 0.2/seed7, 0.25/seed1, 0.25/seed7
+	alone1, alone7 := run(seed1), run(seed7)
+	metricsBitIdentical(t, "seed=1 beside seed=7", []spef.ScenarioResult{both[0], both[2]}, alone1)
+	metricsBitIdentical(t, "seed=7 beside seed=1", []spef.ScenarioResult{both[1], both[3]}, alone7)
+	m1, _ := alone1[0].Metric("mlu")
+	m7, _ := alone7[0].Metric("mlu")
+	if m1 == m7 {
+		t.Fatalf("seeds 1 and 7 reach the same MLU %v; pick seeds whose optima differ", m1)
+	}
+}
